@@ -167,6 +167,13 @@ func TestWorkerSessionResumeMidLease(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("calibration did not finish after the session kills")
 	}
+	// The calibration can finish before the worker notices the second
+	// cut, and the counter moves only once the worker's session loop
+	// sees its connection die, so wait for it rather than sampling it.
+	deadline = time.Now().Add(10 * time.Second)
+	for reg.Counter("worker.sessions_resumed").Value() < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if got := reg.Counter("worker.sessions_resumed").Value(); got < 2 {
 		t.Errorf("worker.sessions_resumed = %d, want >= 2", got)
 	}

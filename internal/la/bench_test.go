@@ -68,44 +68,47 @@ func BenchmarkCholeskyExtend400(b *testing.B) {
 	}
 }
 
-func BenchmarkSolveLowerMany400x512(b *testing.B) {
-	a := benchSPD(400, 1)
-	l, err := Cholesky(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	rhs := NewMatrix(400, 512)
-	for i := range rhs.data {
-		rhs.data[i] = rng.NormFloat64()
-	}
-	buf := NewMatrix(400, 512)
+// BenchmarkSolveLower4x300 and BenchmarkSolveLowerInto4x300 solve the
+// same four right-hand sides against a 300-row factor, the GP's size
+// late in a BO-GP calibration: one 4-wide pass against four single
+// solves.
+func BenchmarkSolveLower4x300(b *testing.B) {
+	l, rhs, x := benchSolve4(300)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(buf.data, rhs.data)
-		if err := SolveLowerManyInPlace(l, buf); err != nil {
+		if err := SolveLower4Into(l, rhs, x); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkCholSolveMany400x64(b *testing.B) {
-	a := benchSPD(400, 1)
-	l, err := Cholesky(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	rhs := NewMatrix(400, 64)
-	for i := range rhs.data {
-		rhs.data[i] = rng.NormFloat64()
-	}
+func BenchmarkSolveLowerInto4x300(b *testing.B) {
+	l, rhs, x := benchSolve4(300)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CholSolveMany(l, rhs); err != nil {
-			b.Fatal(err)
+		for c := range rhs {
+			if err := SolveLowerInto(l, rhs[c], x[c]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+}
+
+func benchSolve4(n int) (*Matrix, [4][]float64, [4][]float64) {
+	l, err := Cholesky(benchSPD(n, 1))
+	if err != nil {
+		panic(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	var rhs, x [4][]float64
+	for c := range rhs {
+		rhs[c] = make([]float64, n)
+		for i := range rhs[c] {
+			rhs[c][i] = rng.NormFloat64()
+		}
+		x[c] = make([]float64, n)
+	}
+	return l, rhs, x
 }

@@ -4,13 +4,14 @@
 //
 // The package is deliberately minimal: it targets the sizes that arise
 // in simulation calibration (hundreds of rows, tens of columns) and
-// depends only on the standard library. The Cholesky and multi-RHS
+// depends only on the standard library. The Cholesky and triangular
 // solve routines sit on the surrogate hot path (they run once per
-// length-scale candidate per BO iteration), so their inner loops are
-// blocked and slice-indexed — no per-element At/Set — and the
-// factorization supports in-place extension of a previously factored
-// leading block (CholeskyExtendInPlace), the operation behind the GP's
-// incremental refit. All routines are strictly deterministic: a fixed
+// length-scale candidate per BO iteration, and once per candidate
+// point per acquisition), so their inner loops are slice-indexed — no
+// per-element At/Set — and the factorization is blocked and supports
+// in-place extension of a previously factored leading block
+// (CholeskyExtendInPlace), the operation behind the GP's incremental
+// refit. All routines are strictly deterministic: a fixed
 // operation order, no data-dependent reductions.
 package la
 
@@ -87,6 +88,44 @@ func (m *Matrix) Row(i int) []float64 {
 // (kernel fills, batched solves) that cannot afford per-element At/Set.
 func (m *Matrix) RawRow(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
+}
+
+// ResizeLower reshapes m to n×n in place, keeping the lower triangle
+// (diagonal included) of its first keep rows; every other element is
+// unspecified afterwards. It serves buffers that are refilled as n
+// changes, such as a factor extended by CholeskyExtendInPlace, and it
+// works on the zero Matrix. When the storage is too small it is
+// replaced by one with 25% more rows of headroom, so a growing
+// sequence of sizes reallocates O(log n) times; it reports whether it
+// did. Kept rows are moved within the storage last-to-first when rows
+// lengthen and first-to-last when they shorten, so a move never
+// overwrites a row that has not moved yet. It panics unless
+// 0 <= keep <= min(n, m.Rows()) and, when keep > 0, m is square.
+func (m *Matrix) ResizeLower(n, keep int) (allocated bool) {
+	old := m.rows
+	if n <= 0 || keep < 0 || keep > n || keep > old || (keep > 0 && m.cols != old) {
+		panic(fmt.Sprintf("la: ResizeLower(%d, %d) of a %dx%d matrix", n, keep, m.rows, m.cols))
+	}
+	src := m.data
+	if cap(src) < n*n {
+		r := n + n/4
+		m.data = make([]float64, n*n, r*r)
+		allocated = true
+	} else {
+		m.data = src[:n*n]
+	}
+	switch {
+	case allocated || n < old:
+		for i := 0; i < keep; i++ {
+			copy(m.data[i*n:i*n+i+1], src[i*old:i*old+i+1])
+		}
+	case n > old:
+		for i := keep - 1; i >= 0; i-- {
+			copy(m.data[i*n:i*n+i+1], src[i*old:i*old+i+1])
+		}
+	}
+	m.rows, m.cols = n, n
+	return allocated
 }
 
 // Clone returns a deep copy of the matrix.
@@ -367,47 +406,46 @@ func SolveLowerInto(l *Matrix, b, x []float64) error {
 	return nil
 }
 
-// SolveLowerManyInPlace solves L·X = B for the n×k right-hand-side
-// matrix B, overwriting B with the solution X. Each column is solved
-// with exactly the operation order SolveLower uses, so column c of the
-// result is bitwise identical to SolveLower(l, column c of B) — the
-// property that lets batched surrogate prediction replace per-point
-// solves without changing a single output bit. It panics on dimension
-// mismatch and returns an error (with B partially overwritten) if a
-// diagonal entry is zero.
-func SolveLowerManyInPlace(l, b *Matrix) error {
+// SolveLower4Into solves L·x[c] = b[c] for four right-hand sides in
+// one pass over L, sharing each row's loads across the four solves.
+// Each right-hand side's statements are SolveLowerInto's, in the same
+// order and the same form, so x[c] is bitwise identical to
+// SolveLowerInto(l, b[c], x[c]) on every platform. A zero diagonal
+// fails all four at the same row, as it would fail each single solve.
+// No x[c] may alias any b[c].
+func SolveLower4Into(l *Matrix, b, x [4][]float64) error {
 	n := l.rows
-	if l.cols != n || b.rows != n {
-		panic("la: SolveLowerManyInPlace dimension mismatch")
+	if l.cols != n {
+		panic("la: SolveLower4Into dimension mismatch")
 	}
-	k := b.cols
+	for c := range b {
+		if len(b[c]) != n || len(x[c]) != n {
+			panic("la: SolveLower4Into dimension mismatch")
+		}
+	}
+	// Re-slicing to n lets the compiler drop the inner loop's bounds
+	// checks, as it does for SolveLowerInto's single x.
+	b0, b1, b2, b3 := b[0][:n], b[1][:n], b[2][:n], b[3][:n]
+	x0, x1, x2, x3 := x[0][:n], x[1][:n], x[2][:n], x[3][:n]
 	for i := 0; i < n; i++ {
 		ri := l.data[i*n : i*n+n]
-		bi := b.data[i*k : i*k+k]
+		s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
 		for j, v := range ri[:i] {
-			bj := b.data[j*k : j*k+k]
-			for c := range bi {
-				bi[c] -= v * bj[c]
-			}
+			s0 -= v * x0[j]
+			s1 -= v * x1[j]
+			s2 -= v * x2[j]
+			s3 -= v * x3[j]
 		}
 		d := ri[i]
 		if d == 0 {
 			return errors.New("la: singular lower-triangular matrix")
 		}
-		for c := range bi {
-			bi[c] /= d
-		}
+		x0[i] = s0 / d
+		x1[i] = s1 / d
+		x2[i] = s2 / d
+		x3[i] = s3 / d
 	}
 	return nil
-}
-
-// SolveLowerMany solves L·X = B without modifying B.
-func SolveLowerMany(l, b *Matrix) (*Matrix, error) {
-	x := b.Clone()
-	if err := SolveLowerManyInPlace(l, x); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // SolveUpper solves U·x = b for x where U is upper triangular
@@ -435,71 +473,39 @@ func SolveUpper(u *Matrix, b []float64) ([]float64, error) {
 
 // CholSolve solves (L·Lᵀ)·x = b given the lower Cholesky factor L.
 func CholSolve(l *Matrix, b []float64) ([]float64, error) {
-	y, err := SolveLower(l, b)
-	if err != nil {
-		return nil, err
-	}
-	return solveLowerT(l, y)
-}
-
-// CholSolveMany solves (L·Lᵀ)·X = B for the n×k right-hand-side matrix
-// B given the lower Cholesky factor L. Column c of the result is
-// bitwise identical to CholSolve(l, column c of B). B is not modified.
-func CholSolveMany(l, b *Matrix) (*Matrix, error) {
-	x := b.Clone()
-	if err := SolveLowerManyInPlace(l, x); err != nil {
-		return nil, err
-	}
-	if err := solveLowerTManyInPlace(l, x); err != nil {
+	x := make([]float64, len(b))
+	if err := CholSolveInto(l, b, x); err != nil {
 		return nil, err
 	}
 	return x, nil
 }
 
-// solveLowerTManyInPlace solves Lᵀ·X = B in place without
-// materializing the transpose, column-order-compatible with solveLowerT.
-func solveLowerTManyInPlace(l, b *Matrix) error {
-	n := l.rows
-	if l.cols != n || b.rows != n {
-		panic("la: solveLowerTManyInPlace dimension mismatch")
+// CholSolveInto solves (L·Lᵀ)·x = b into the caller-provided x, with
+// CholSolve's operation order. x must not alias b.
+func CholSolveInto(l *Matrix, b, x []float64) error {
+	if err := SolveLowerInto(l, b, x); err != nil {
+		return err
 	}
-	k := b.cols
+	return solveLowerTInPlace(l, x)
+}
+
+// solveLowerTInPlace solves Lᵀ·x = b without materializing the
+// transpose, overwriting b with x: backward substitution reads b[i]
+// before it writes x[i], and only x[j] for j > i after that.
+func solveLowerTInPlace(l *Matrix, b []float64) error {
+	n := l.rows
 	for i := n - 1; i >= 0; i-- {
-		bi := b.data[i*k : i*k+k]
+		s := b[i]
 		for j := i + 1; j < n; j++ {
-			v := l.data[j*n+i]
-			bj := b.data[j*k : j*k+k]
-			for c := range bi {
-				bi[c] -= v * bj[c]
-			}
+			s -= l.data[j*n+i] * b[j]
 		}
 		d := l.data[i*n+i]
 		if d == 0 {
 			return errors.New("la: singular triangular matrix")
 		}
-		for c := range bi {
-			bi[c] /= d
-		}
+		b[i] = s / d
 	}
 	return nil
-}
-
-// solveLowerT solves Lᵀ·x = b without materializing the transpose.
-func solveLowerT(l *Matrix, b []float64) ([]float64, error) {
-	n := l.rows
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= l.data[j*n+i] * x[j]
-		}
-		d := l.data[i*n+i]
-		if d == 0 {
-			return nil, errors.New("la: singular triangular matrix")
-		}
-		x[i] = s / d
-	}
-	return x, nil
 }
 
 // Dot returns the inner product of two equal-length vectors.

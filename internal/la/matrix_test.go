@@ -342,70 +342,132 @@ func TestCholeskyExtendRejectsBadStart(t *testing.T) {
 	}
 }
 
-func TestSolveLowerManyMatchesSolveLowerBitwise(t *testing.T) {
-	const n, k = 37, 9
-	a := spdMatrix(n, 3)
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	b := NewMatrix(n, k)
-	for i := 0; i < n; i++ {
-		for c := 0; c < k; c++ {
-			b.Set(i, c, rng.NormFloat64())
-		}
-	}
-	x, err := SolveLowerMany(l, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xx, err := CholSolveMany(l, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < k; c++ {
-		col := make([]float64, n)
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, c)
-		}
-		want, err := SolveLower(l, col)
+// The 4-wide solve must give each right-hand side the bits of its own
+// single solve: the GP's batched prediction is bitwise equal to
+// per-candidate Predict only because of this.
+func TestSolveLower4MatchesSolveLowerBitwise(t *testing.T) {
+	for _, n := range []int{1, 2, 37, 130} {
+		l, err := Cholesky(spdMatrix(n, int64(n)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want2, err := CholSolve(l, col)
-		if err != nil {
+		rng := rand.New(rand.NewSource(4))
+		var b, x [4][]float64
+		for c := range b {
+			b[c] = make([]float64, n)
+			for i := range b[c] {
+				b[c][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+			}
+			x[c] = make([]float64, n)
+		}
+		keep := [4][]float64{append([]float64(nil), b[0]...), append([]float64(nil), b[1]...),
+			append([]float64(nil), b[2]...), append([]float64(nil), b[3]...)}
+		if err := SolveLower4Into(l, b, x); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if x.At(i, c) != want[i] {
-				t.Fatalf("SolveLowerMany col %d row %d: %v != %v", c, i, x.At(i, c), want[i])
+		want := make([]float64, n)
+		for c := range b {
+			if err := SolveLowerInto(l, b[c], want); err != nil {
+				t.Fatal(err)
 			}
-			if xx.At(i, c) != want2[i] {
-				t.Fatalf("CholSolveMany col %d row %d: %v != %v", c, i, xx.At(i, c), want2[i])
-			}
-		}
-	}
-	// B must be untouched.
-	rng = rand.New(rand.NewSource(4))
-	for i := 0; i < n; i++ {
-		for c := 0; c < k; c++ {
-			if b.At(i, c) != rng.NormFloat64() {
-				t.Fatal("SolveLowerMany/CholSolveMany modified B")
+			for i := range want {
+				if x[c][i] != want[i] {
+					t.Fatalf("n=%d rhs %d row %d: %v != %v", n, c, i, x[c][i], want[i])
+				}
+				if b[c][i] != keep[c][i] {
+					t.Fatalf("n=%d: SolveLower4Into modified b[%d]", n, c)
+				}
 			}
 		}
 	}
 }
 
-func TestSolveManySingular(t *testing.T) {
+func TestSolveLower4Singular(t *testing.T) {
 	l := FromRows([][]float64{{1, 0}, {2, 0}})
-	b := NewMatrix(2, 3)
-	if err := SolveLowerManyInPlace(l, b.Clone()); err == nil {
-		t.Error("SolveLowerManyInPlace accepted singular L")
+	var b, x [4][]float64
+	for c := range b {
+		b[c], x[c] = []float64{1, 1}, make([]float64, 2)
 	}
-	if _, err := CholSolveMany(l, b); err == nil {
-		t.Error("CholSolveMany accepted singular L")
+	if err := SolveLower4Into(l, b, x); err == nil {
+		t.Error("SolveLower4Into accepted singular L")
 	}
+}
+
+func TestCholSolveIntoMatchesCholSolve(t *testing.T) {
+	l, err := Cholesky(spdMatrix(23, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, 23)
+	for i := range b {
+		b[i] = float64(i%7) - 3
+	}
+	want, err := CholSolve(l, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, len(b))
+	if err := CholSolveInto(l, b, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("x[%d]: CholSolveInto %v != CholSolve %v", i, got[i], want[i])
+		}
+	}
+}
+
+// ResizeLower must carry the kept lower triangles across every kind of
+// reshape: growth inside the capacity (rows moved last-to-first),
+// shrinking (first-to-last), and growth past it (a fresh buffer).
+func TestResizeLowerKeepsLowerTriangle(t *testing.T) {
+	var m Matrix
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				m.Set(i, j, float64(1000*i+j))
+			}
+		}
+	}
+	check := func(n, keep int) {
+		t.Helper()
+		if m.Rows() != n || m.Cols() != n {
+			t.Fatalf("shape %dx%d, want %dx%d", m.Rows(), m.Cols(), n, n)
+		}
+		for i := 0; i < keep; i++ {
+			for j := 0; j <= i; j++ {
+				if m.At(i, j) != float64(1000*i+j) {
+					t.Fatalf("n=%d keep=%d: (%d,%d) = %v", n, keep, i, j, m.At(i, j))
+				}
+			}
+		}
+	}
+	if !m.ResizeLower(20, 0) {
+		t.Fatal("first resize of the zero Matrix must allocate")
+	}
+	fill(20)
+	for _, step := range []struct {
+		n, keep int
+		alloc   bool
+	}{
+		{25, 20, false}, // grow within the 25-row headroom
+		{9, 7, false},   // shrink
+		{24, 9, false},  // grow again within capacity
+		{40, 24, true},  // grow past capacity
+		{40, 40, false}, // same shape
+	} {
+		if got := m.ResizeLower(step.n, step.keep); got != step.alloc {
+			t.Fatalf("ResizeLower(%d, %d) allocated=%v, want %v", step.n, step.keep, got, step.alloc)
+		}
+		check(step.n, step.keep)
+		fill(step.n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("keep beyond the current rows accepted")
+		}
+	}()
+	m.ResizeLower(50, 41)
 }
 
 func TestRawRowIsAView(t *testing.T) {

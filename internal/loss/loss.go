@@ -9,6 +9,8 @@ package loss
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"simcal/internal/core"
@@ -66,9 +68,11 @@ func wfErrors(v wfsim.Version, cfg wfsim.Config, g *groundtruth.WFGroup) (float6
 		return 0, nil, err
 	}
 	ei := stats.RelError(g.MeanMakespan, res.Makespan)
+	// Sorted names fix the summation order of the task-error mean, so a
+	// point's loss is bitwise the same on every evaluation.
 	taskErrs := make([]float64, 0, len(g.MeanTaskTimes))
-	for name, gt := range g.MeanTaskTimes {
-		taskErrs = append(taskErrs, stats.RelError(gt, res.TaskTimes[name]))
+	for _, name := range slices.Sorted(maps.Keys(g.MeanTaskTimes)) {
+		taskErrs = append(taskErrs, stats.RelError(g.MeanTaskTimes[name], res.TaskTimes[name]))
 	}
 	return ei, taskErrs, nil
 }

@@ -82,7 +82,7 @@ func BenchmarkGPPredict512Serial(b *testing.B) {
 }
 
 // BenchmarkGPPredictBatch512 measures the same 512-candidate pool
-// through PredictBatch (chunked multi-RHS solves, worker pool).
+// through PredictBatch (chunks of 4-wide solves, worker pool).
 func BenchmarkGPPredictBatch512(b *testing.B) {
 	X, y := benchTrainingSet(400, 10, 1)
 	g := NewGP()

@@ -17,6 +17,10 @@ import (
 // current level.
 var gpJitterLadder = [...]float64{0, 1e-6}
 
+// gpDefaultScales are the length-scale candidates used when
+// GP.LengthScales is empty. Read-only.
+var gpDefaultScales = []float64{0.1, 0.2, 0.5, 1.0}
+
 // GP is a Gaussian-process regressor with a Matérn-5/2 kernel over the
 // unit cube (BO-GP). The length scale is selected from a small candidate
 // set by log marginal likelihood at Fit time; targets are standardized
@@ -26,8 +30,11 @@ var gpJitterLadder = [...]float64{0, 1e-6}
 // Fit is incremental: when the new training set extends the previous one
 // by appended rows (the common BO refit shape), the cached distance
 // matrix and each scale's Cholesky factor are extended in place instead
-// of recomputed, and buffers are reused across refits. The length-scale
-// grid is evaluated concurrently across FitWorkers goroutines. Both
+// of recomputed. Each lives in one buffer that is re-strided in place
+// as n changes and grows geometrically, so refits at a fixed n
+// allocate nothing and a growing sequence reallocates O(log n) times.
+// The length-scale grid is evaluated concurrently across FitWorkers
+// goroutines. Both
 // optimizations are bitwise transparent: the selected scale, alpha,
 // factor, and all subsequent predictions are identical to a serial
 // from-scratch fit (la.CholeskyExtendInPlace performs the exact per-row
@@ -58,30 +65,32 @@ type GP struct {
 	signalStdDev float64
 
 	// Incremental-fit caches. prevX snapshots the row slices of the last
-	// fitted X so a later Fit can detect a shared prefix; dists holds
-	// pairwise distances for prevX; distsNext is the ping-pong buffer the
-	// next fit extends into. scaleState keeps one factored kernel per
-	// length-scale candidate so an appended-rows refit only factors the
-	// new rows.
+	// fitted X so a later Fit can detect a shared prefix; dists holds the
+	// lower triangle of prevX's pairwise distances. scaleState keeps one
+	// factored kernel per length-scale candidate so an appended-rows
+	// refit only factors the new rows.
 	prevX      [][]float64
-	dists      *la.Matrix
-	distsNext  *la.Matrix
+	dists      la.Matrix
 	scaleState []gpScaleState
 	yn         []float64
 	fitStats   FitStats
 }
 
-// gpScaleState caches per-length-scale fit state across refits.
+// gpScaleState caches per-length-scale fit state across refits. Its
+// one factor buffer is overwritten by the fit that refills it, so
+// valid records how many leading rows still hold a factor of the
+// kernel under (scaleVal, noise, jitter): a failed factorization or
+// jitter rung leaves exactly the rows it did not touch.
 type gpScaleState struct {
-	cur      *la.Matrix // Cholesky factor from the last successful fit
-	next     *la.Matrix // ping-pong buffer the current fit factors into
+	l        la.Matrix
 	alpha    []float64
-	n        int     // rows factored in cur
-	scaleVal float64 // length scale cur was factored with
-	noise    float64 // noise cur was factored with
-	jitter   float64 // jitter cur was factored with
+	valid    int
+	scaleVal float64
+	noise    float64
+	jitter   float64
 	lml      float64
 	ok       bool
+	grew     bool // this rung reallocated l
 }
 
 // NewGP returns a GP regressor with default hyperparameter candidates.
@@ -123,9 +132,6 @@ func dist(a, b []float64) float64 {
 // parameter-vector slices in its history) with a value-compare
 // fallback.
 func (g *GP) commonPrefix(X [][]float64) int {
-	if g.dists == nil {
-		return 0
-	}
 	max := len(g.prevX)
 	if len(X) < max {
 		max = len(X)
@@ -147,37 +153,27 @@ func (g *GP) commonPrefix(X [][]float64) int {
 	return max
 }
 
-// extendDists produces the n×n distance matrix for X, copying the
-// prefix×prefix block from the cached matrix and computing only the
-// rows involving new points. Buffers ping-pong between dists and
-// distsNext so steady-state refits (constant n once BO hits its
-// MaxFitPoints cap) allocate nothing.
+// extendDists fills the lower triangle of the n×n distance matrix for
+// X, keeping the prefix rows cached from the previous fit and computing
+// only the rows of new points. Only the lower triangle is ever read.
 func (g *GP) extendDists(X [][]float64, prefix int) *la.Matrix {
 	n := len(X)
-	d := g.distsNext
-	if d == nil || d.Rows() != n {
-		d = la.NewMatrix(n, n)
+	d := &g.dists
+	if d.ResizeLower(n, prefix) {
 		g.fitStats.BufferAllocs++
-	}
-	for i := 0; i < prefix; i++ {
-		copy(d.RawRow(i)[:prefix], g.dists.RawRow(i)[:prefix])
 	}
 	for i := prefix; i < n; i++ {
 		ri := d.RawRow(i)
-		ri[i] = 0
 		for j := 0; j < i; j++ {
-			v := dist(X[i], X[j])
-			ri[j] = v
-			d.RawRow(j)[i] = v
+			ri[j] = dist(X[i], X[j])
 		}
+		ri[i] = 0
 	}
-	g.distsNext = g.dists
-	g.dists = d
 	return d
 }
 
-// invalidate clears the fitted model after a failed fit so stale state
-// cannot be reused by Predict or a later incremental Fit.
+// invalidate clears the fitted model so that neither Predict nor a
+// later incremental Fit can use buffers a fit is overwriting.
 func (g *GP) invalidate() {
 	g.chol = nil
 	g.alpha = nil
@@ -210,10 +206,14 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 	}
 	scales := g.LengthScales
 	if len(scales) == 0 {
-		scales = []float64{0.1, 0.2, 0.5, 1.0}
+		scales = gpDefaultScales
 	}
 
 	prefix := g.commonPrefix(X)
+	// From here on the previous model's buffers are overwritten, so
+	// until this fit succeeds there is none: a fit that fails, or
+	// panics, leaves the next one to start cold.
+	g.invalidate()
 	dists := g.extendDists(X, prefix)
 	if len(g.scaleState) != len(scales) {
 		g.scaleState = make([]gpScaleState, len(scales))
@@ -246,7 +246,6 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 		}
 	}
 	if !fitted {
-		g.invalidate()
 		return la.ErrNotPositiveDefinite
 	}
 
@@ -261,29 +260,13 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 		}
 	}
 	if best < 0 {
-		g.invalidate()
 		return la.ErrNotPositiveDefinite
-	}
-
-	// Promote the freshly-factored buffers to "current" for the next
-	// incremental fit.
-	for i := range g.scaleState {
-		st := &g.scaleState[i]
-		if !st.ok {
-			st.n = 0
-			continue
-		}
-		st.cur, st.next = st.next, st.cur
-		st.n = n
-		st.scaleVal = scales[i]
-		st.noise = noise
-		st.jitter = jitter
 	}
 
 	g.x = X
 	g.prevX = append(g.prevX[:0], X...)
 	g.yMean, g.yStd = yMean, yStd
-	g.chol = g.scaleState[best].cur
+	g.chol = &g.scaleState[best].l
 	g.alpha = g.scaleState[best].alpha
 	g.scale = scales[best]
 	g.signalStdDev = 1
@@ -307,10 +290,9 @@ func (g *GP) fitScales(scales []float64, dists *la.Matrix, yn []float64, noise, 
 	if workers > len(scales) {
 		workers = len(scales)
 	}
-	var allocs int32
 	if workers <= 1 {
 		for i, l := range scales {
-			g.fitOneScale(i, l, dists, yn, noise, jit, prefix, n, &allocs)
+			g.fitOneScale(i, l, dists, yn, noise, jit, prefix, n)
 		}
 	} else {
 		var next int32 = -1
@@ -324,46 +306,38 @@ func (g *GP) fitScales(scales []float64, dists *la.Matrix, yn []float64, noise, 
 					if i >= len(scales) {
 						return
 					}
-					g.fitOneScale(i, scales[i], dists, yn, noise, jit, prefix, n, &allocs)
+					g.fitOneScale(i, scales[i], dists, yn, noise, jit, prefix, n)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	g.fitStats.BufferAllocs += int(allocs)
+	for i := range g.scaleState {
+		if g.scaleState[i].grew {
+			g.fitStats.BufferAllocs++
+		}
+	}
 }
 
 // fitOneScale builds (or extends) the kernel factor for one length
 // scale and computes its alpha and log marginal likelihood. When the
-// cached factor for this scale covers a prefix of the new rows under
-// the same kernel diagonal, only rows [start, n) are filled and
-// factored; the resulting factor is bitwise identical to a from-scratch
-// one (see la.CholeskyExtendInPlace).
-func (g *GP) fitOneScale(idx int, scale float64, dists *la.Matrix, yn []float64, noise, jit float64, prefix, n int, allocs *int32) {
+// factor buffer's valid rows cover a prefix of the new rows under the
+// same kernel diagonal, only rows [start, n) are filled and factored;
+// the resulting factor is bitwise identical to a from-scratch one (see
+// la.CholeskyExtendInPlace).
+func (g *GP) fitOneScale(idx int, scale float64, dists *la.Matrix, yn []float64, noise, jit float64, prefix, n int) {
 	st := &g.scaleState[idx]
 	st.ok = false
 
 	start := 0
-	if st.cur != nil && st.scaleVal == scale && st.noise == noise && st.jitter == jit {
-		start = st.n
-		if prefix < start {
-			start = prefix
-		}
+	if st.scaleVal == scale && st.noise == noise && st.jitter == jit {
+		start = min(st.valid, prefix)
 	}
-
-	l := st.next
-	if l == nil || l.Rows() != n {
-		l = la.NewMatrix(n, n)
-		st.next = l
-		atomic.AddInt32(allocs, 1)
-	}
-	// Reuse the already-factored rows (RawRow copies tolerate the old
-	// buffer having a different stride), then fill the kernel for the
-	// rest. Only the lower triangle is touched; CholeskyExtendInPlace
-	// never reads above the diagonal.
-	for i := 0; i < start; i++ {
-		copy(l.RawRow(i)[:i+1], st.cur.RawRow(i)[:i+1])
-	}
+	l := &st.l
+	st.grew = l.ResizeLower(n, start)
+	// Rows from start on are about to be overwritten; only the kept
+	// rows stay valid until the factorization succeeds.
+	st.valid, st.scaleVal, st.noise, st.jitter = start, scale, noise, jit
 	diag := 1 + noise + jit
 	for i := start; i < n; i++ {
 		ri := l.RawRow(i)
@@ -376,14 +350,17 @@ func (g *GP) fitOneScale(idx int, scale float64, dists *la.Matrix, yn []float64,
 	if err := la.CholeskyExtendInPlace(l, start); err != nil {
 		return
 	}
+	st.valid = n
 
-	alpha, err := la.CholSolve(l, yn)
-	if err != nil {
+	if cap(st.alpha) < n {
+		st.alpha = make([]float64, n, n+n/4)
+	}
+	st.alpha = st.alpha[:n]
+	if err := la.CholSolveInto(l, yn, st.alpha); err != nil {
 		return
 	}
-	st.alpha = alpha
 
-	lml := -0.5 * la.Dot(yn, alpha)
+	lml := -0.5 * la.Dot(yn, st.alpha)
 	for i := 0; i < n; i++ {
 		lml -= math.Log(l.At(i, i))
 	}
@@ -416,20 +393,23 @@ func (g *GP) Predict(x []float64) (mean, std float64) {
 	return mean, std
 }
 
-// gpBatchScratch is the per-worker scratch for PredictBatch.
+// gpBatchScratch is the per-worker scratch for PredictBatch: kernel
+// vectors and forward-substitution outputs for four candidates.
 type gpBatchScratch struct {
-	kstar []float64 // per-candidate kernel vector
-	v     []float64 // forward-substitution output
+	kstar [4][]float64
+	v     [4][]float64
 }
 
 // PredictBatch implements Regressor. Candidates are scored in
 // predictChunk-sized chunks across up to PredictWorkers goroutines,
 // with per-worker scratch replacing Predict's per-call allocations.
-// Every arithmetic step mirrors Predict's exactly — same kernel
-// evaluations, la.Dot for the mean, la.SolveLowerInto with SolveLower's
-// exact operation order, la.Dot for the variance — and all writes are
-// index-addressed, so the output is bitwise identical to calling
-// Predict once per candidate, for any worker count.
+// Within a chunk, candidates go four at a time through one
+// la.SolveLower4Into pass over the factor, and a chunk's last one to
+// three through la.SolveLowerInto; both give each candidate
+// SolveLower's bits. The kernel evaluations and the la.Dot calls for
+// mean and variance are Predict's, one candidate at a time, and all
+// writes are index-addressed, so the output is bitwise identical to
+// calling Predict once per candidate, for any worker count.
 func (g *GP) PredictBatch(X [][]float64, mean, std []float64) {
 	if g.chol == nil {
 		panic("surrogate: PredictBatch before Fit")
@@ -438,24 +418,42 @@ func (g *GP) PredictBatch(X [][]float64, mean, std []float64) {
 	n := len(g.x)
 	batchLoop(len(X), g.PredictWorkers,
 		func() *gpBatchScratch {
-			return &gpBatchScratch{kstar: make([]float64, n), v: make([]float64, n)}
+			s := &gpBatchScratch{}
+			for k := range s.kstar {
+				s.kstar[k], s.v[k] = make([]float64, n), make([]float64, n)
+			}
+			return s
 		},
 		func(lo, hi int, s *gpBatchScratch) {
-			for c := lo; c < hi; c++ {
-				x := X[c]
-				for i := 0; i < n; i++ {
-					s.kstar[i] = matern52(dist(x, g.x[i]), g.scale)
+			for c := lo; c < hi; {
+				w := min(4, hi-c)
+				for k := 0; k < w; k++ {
+					x, kstar := X[c+k], s.kstar[k]
+					for i := 0; i < n; i++ {
+						kstar[i] = matern52(dist(x, g.x[i]), g.scale)
+					}
 				}
-				mn := la.Dot(s.kstar, g.alpha)
-				variance := 1.0
-				if err := la.SolveLowerInto(g.chol, s.kstar, s.v); err == nil {
-					variance = 1 - la.Dot(s.v, s.v)
+				var err error
+				if w == 4 {
+					err = la.SolveLower4Into(g.chol, s.kstar, s.v)
+				} else {
+					for k := 0; k < w && err == nil; k++ {
+						err = la.SolveLowerInto(g.chol, s.kstar[k], s.v[k])
+					}
 				}
-				if variance < 0 {
-					variance = 0
+				for k := 0; k < w; k++ {
+					mn := la.Dot(s.kstar[k], g.alpha)
+					variance := 1.0
+					if err == nil {
+						variance = 1 - la.Dot(s.v[k], s.v[k])
+					}
+					if variance < 0 {
+						variance = 0
+					}
+					mean[c+k] = mn*g.yStd + g.yMean
+					std[c+k] = math.Sqrt(variance) * g.yStd
 				}
-				mean[c] = mn*g.yStd + g.yMean
-				std[c] = math.Sqrt(variance) * g.yStd
+				c += w
 			}
 		})
 }

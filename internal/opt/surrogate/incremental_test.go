@@ -1,7 +1,10 @@
 package surrogate
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"simcal/internal/la"
@@ -24,8 +27,10 @@ func predictSerial(r Regressor, X [][]float64) (mean, std []float64) {
 // reproducible.
 func TestPredictBatchBitwiseMatchesSerial(t *testing.T) {
 	X, y := trainOn(150, 3, 7, quadratic)
-	cands, _ := trainOn(333, 3, 8, quadratic) // non-multiple of the chunk size
-	for _, workers := range []int{0, 1, 3, 8} {
+	// Counts that are not multiples of the GP's 4-candidate solve or of
+	// the chunk size leave one to three candidates for single solves.
+	pool, _ := trainOn(333, 3, 8, quadratic)
+	for _, workers := range []int{0, 1, 2, 3, 8} {
 		gp := NewGP()
 		gp.PredictWorkers = workers
 		rf := NewRandomForest(1)
@@ -38,14 +43,17 @@ func TestPredictBatchBitwiseMatchesSerial(t *testing.T) {
 			if err := r.Fit(X, y); err != nil {
 				t.Fatalf("%s: Fit: %v", r.Name(), err)
 			}
-			wantMean, wantStd := predictSerial(r, cands)
-			gotMean := make([]float64, len(cands))
-			gotStd := make([]float64, len(cands))
-			r.PredictBatch(cands, gotMean, gotStd)
-			for i := range cands {
-				if gotMean[i] != wantMean[i] || gotStd[i] != wantStd[i] {
-					t.Fatalf("%s workers=%d cand %d: batch (%v, %v) != serial (%v, %v)",
-						r.Name(), workers, i, gotMean[i], gotStd[i], wantMean[i], wantStd[i])
+			for _, k := range []int{1, 2, 3, 4, 7, 66, 333} {
+				cands := pool[:k]
+				wantMean, wantStd := predictSerial(r, cands)
+				gotMean := make([]float64, len(cands))
+				gotStd := make([]float64, len(cands))
+				r.PredictBatch(cands, gotMean, gotStd)
+				for i := range cands {
+					if gotMean[i] != wantMean[i] || gotStd[i] != wantStd[i] {
+						t.Fatalf("%s workers=%d k=%d cand %d: batch (%v, %v) != serial (%v, %v)",
+							r.Name(), workers, k, i, gotMean[i], gotStd[i], wantMean[i], wantStd[i])
+					}
 				}
 			}
 		}
@@ -99,58 +107,88 @@ func TestGPConcurrentScaleSelectionDeterministic(t *testing.T) {
 // training set that extends the previous one must produce exactly the
 // model a cold GP produces on the full set — scale, alpha, factor, and
 // predictions all bitwise identical. This is what makes the incremental
-// optimization invisible to checkpoint replay.
+// optimization invisible to checkpoint replay. Growing from 4 to 300
+// rows, in single rows and in uneven jumps, must also reallocate each
+// of the GP's buffers (distances plus one factor per length scale)
+// O(log n) times, not once per refit.
 func TestGPIncrementalFitBitwiseMatchesCold(t *testing.T) {
-	X, y := trainOn(120, 5, 31, quadratic)
+	const hi = 300
+	X, y := trainOn(hi, 5, 31, quadratic)
 	cands, _ := trainOn(100, 5, 32, quadratic)
 
+	var sizes []int
+	for n := 4; n <= hi; n++ {
+		if n <= 40 || n >= 120 {
+			sizes = append(sizes, n)
+		} else if n == 44 || n == 90 {
+			sizes = append(sizes, n) // uneven jumps 40 → 44 → 90 → 120
+		}
+	}
 	warm := NewGP()
-	// Grow the training set in uneven steps, refitting the same instance.
-	for _, n := range []int{40, 44, 90, 120} {
+	allocs, prev := 0, 0
+	for _, n := range sizes {
 		if err := warm.Fit(X[:n], y[:n]); err != nil {
 			t.Fatalf("warm fit n=%d: %v", n, err)
 		}
+		st := warm.FitStats()
+		if st.Incremental != (prev > 0) || st.PrefixReused != prev {
+			t.Fatalf("warm fit n=%d stats = %+v, want PrefixReused=%d", n, st, prev)
+		}
+		allocs += st.BufferAllocs
+		prev = n
 	}
-	st := warm.FitStats()
-	if !st.Incremental || st.PrefixReused != 90 {
-		t.Fatalf("warm fit stats = %+v, want Incremental with PrefixReused=90", st)
-	}
-	if st.BufferAllocs == 0 {
-		t.Fatalf("growing refit should report buffer allocations, got %+v", st)
+	buffers := 1 + len(gpDefaultScales)
+	if bound := buffers * 2 * int(math.Ceil(math.Log2(hi))); allocs > bound {
+		t.Fatalf("%d buffer allocations growing to %d rows, want <= %d (O(log n) per buffer)", allocs, hi, bound)
 	}
 
 	cold := NewGP()
 	if err := cold.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if warm.LengthScale() != cold.LengthScale() {
-		t.Fatalf("warm scale %v != cold %v", warm.LengthScale(), cold.LengthScale())
+	assertSameGP(t, "warm", warm, cold, cands)
+}
+
+// assertSameGP requires got to be bitwise the model want is: scale,
+// alpha, factor, and predictions at cands, single and batched.
+func assertSameGP(t *testing.T, what string, got, want *GP, cands [][]float64) {
+	t.Helper()
+	if got.LengthScale() != want.LengthScale() {
+		t.Fatalf("%s scale %v != cold %v", what, got.LengthScale(), want.LengthScale())
 	}
-	for i := range warm.alpha {
-		if warm.alpha[i] != cold.alpha[i] {
-			t.Fatalf("alpha[%d]: warm %v != cold %v", i, warm.alpha[i], cold.alpha[i])
+	if len(got.alpha) != len(want.alpha) || got.chol.Rows() != want.chol.Rows() {
+		t.Fatalf("%s fitted %d rows, cold %d", what, len(got.alpha), len(want.alpha))
+	}
+	for i := range got.alpha {
+		if got.alpha[i] != want.alpha[i] {
+			t.Fatalf("%s alpha[%d]: %v != cold %v", what, i, got.alpha[i], want.alpha[i])
 		}
 	}
-	for i := 0; i < len(X); i++ {
-		wr, cr := warm.chol.RawRow(i)[:i+1], cold.chol.RawRow(i)[:i+1]
+	for i := 0; i < want.chol.Rows(); i++ {
+		wr, cr := got.chol.RawRow(i)[:i+1], want.chol.RawRow(i)[:i+1]
 		for j := range wr {
 			if wr[j] != cr[j] {
-				t.Fatalf("chol[%d][%d]: warm %v != cold %v", i, j, wr[j], cr[j])
+				t.Fatalf("%s chol[%d][%d]: %v != cold %v", what, i, j, wr[j], cr[j])
 			}
 		}
 	}
+	gotMean := make([]float64, len(cands))
+	gotStd := make([]float64, len(cands))
+	got.PredictBatch(cands, gotMean, gotStd)
 	for i, c := range cands {
-		wm, ws := warm.Predict(c)
-		cm, cs := cold.Predict(c)
-		if wm != cm || ws != cs {
-			t.Fatalf("cand %d: warm (%v, %v) != cold (%v, %v)", i, wm, ws, cm, cs)
+		wm, ws := want.Predict(c)
+		if gm, gs := got.Predict(c); gm != wm || gs != ws {
+			t.Fatalf("%s cand %d: (%v, %v) != cold (%v, %v)", what, i, gm, gs, wm, ws)
+		}
+		if gotMean[i] != wm || gotStd[i] != ws {
+			t.Fatalf("%s cand %d: batch (%v, %v) != cold (%v, %v)", what, i, gotMean[i], gotStd[i], wm, ws)
 		}
 	}
 }
 
 // TestGPSteadyStateRefitReusesBuffers: once n stops growing (BO's
-// MaxFitPoints steady state), ping-pong buffers make refits
-// allocation-free.
+// MaxFitPoints steady state), refits run in the buffers they already
+// have. With a serial grid a refit allocates nothing at all.
 func TestGPSteadyStateRefitReusesBuffers(t *testing.T) {
 	X, y := trainOn(60, 3, 41, quadratic)
 	g := NewGP()
@@ -161,6 +199,19 @@ func TestGPSteadyStateRefitReusesBuffers(t *testing.T) {
 	}
 	if st := g.FitStats(); st.BufferAllocs != 0 {
 		t.Fatalf("steady-state refit allocated %d buffers, want 0", st.BufferAllocs)
+	}
+	g.FitWorkers = 1
+	// Alternate two prefixes so every refit extends each factor.
+	i := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		n := 46 + 4*(i%2)
+		i++
+		if err := g.Fit(X[:n], y[:n]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state serial refit made %v allocations, want 0", allocs)
 	}
 }
 
@@ -234,4 +285,141 @@ func TestGPFailedFitInvalidates(t *testing.T) {
 			t.Fatalf("point %d after recovery: (%v, %v) != cold (%v, %v)", i, gm, gs, cm, cs)
 		}
 	}
+}
+
+// FuzzGPIncrementalFit drives one warm GP through a sequence of refits
+// and requires each to give bitwise the model a cold GP fits on the
+// same data. Each op byte picks one step:
+//
+//	0 grow: append 1–8 rows
+//	1 shorter prefix: keep a prefix, then append 1–4 new rows
+//	2 shrink: drop rows from the end
+//	3 forced jitter: toggle the second length scale between 0.5 and
+//	  1e7, whose kernel is constant to within rounding; with the
+//	  noise so small that the diagonal is exactly 1, it fails the
+//	  jitter ladder's first rung once n exceeds a few rows
+//	4 failed fit: append a NaN row, whose NaN distances no rung can
+//	  factor
+//	5 panicking fit: a negative second length scale panics in the
+//	  kernel after the first scale's factor has been overwritten
+//
+// After every fit the 4-wide solve on the warm factor must also match
+// SolveLowerInto on each right-hand side.
+func FuzzGPIncrementalFit(f *testing.F) {
+	f.Add(int64(1), []byte{0, 0, 3, 0, 1, 2, 3, 0, 4, 0, 1})
+	f.Add(int64(2), []byte{0, 3, 0, 0, 4, 3, 2, 0, 1, 1})
+	f.Add(int64(3), []byte{3, 0, 0, 0, 0, 2, 2, 1, 4, 4, 0, 3, 0, 0})
+	f.Add(int64(4), []byte{0, 0, 5, 0, 3, 0, 5, 1, 0})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 32 {
+			ops = ops[:32]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		d := 1 + rng.Intn(3)
+		row := func() []float64 {
+			r := make([]float64, d)
+			for j := range r {
+				r[j] = rng.Float64()
+			}
+			return r
+		}
+		var X [][]float64
+		var y []float64
+		add := func(k int) {
+			for i := 0; i < k; i++ {
+				r := row()
+				X, y = append(X, r), append(y, quadratic(r))
+			}
+		}
+		cands := make([][]float64, 7) // one 4-wide solve and three single ones
+		for i := range cands {
+			cands[i] = row()
+		}
+		scales := []float64{0.2, 0.5}
+		warm := &GP{Noise: 1e-300, LengthScales: scales}
+		for _, op := range ops {
+			switch op % 6 {
+			case 0:
+				add(1 + rng.Intn(8))
+			case 1:
+				k := rng.Intn(len(X) + 1)
+				X, y = X[:k], y[:k]
+				add(1 + rng.Intn(4))
+			case 2:
+				k := rng.Intn(len(X) + 1)
+				X, y = X[:k], y[:k]
+			case 3:
+				if scales[1] == 0.5 {
+					scales[1] = 1e7
+				} else {
+					scales[1] = 0.5
+				}
+			case 4:
+				if len(X) == 0 {
+					continue // a lone NaN row has no NaN distance, so it factors
+				}
+				nan := make([]float64, d)
+				for j := range nan {
+					nan[j] = math.NaN()
+				}
+				bad := append(X[:len(X):len(X)], nan)
+				err := warm.Fit(bad, append(y[:len(y):len(y)], 0))
+				if !errors.Is(err, la.ErrNotPositiveDefinite) {
+					t.Fatalf("fit with a NaN row: err = %v, want ErrNotPositiveDefinite", err)
+				}
+				continue
+			case 5:
+				if len(X) < 2 {
+					continue // no off-diagonal kernel value to panic on
+				}
+				keep := scales[1]
+				scales[1] = -1
+				warm.FitWorkers = 1 // a panic on a grid goroutine would end the process
+				func() {
+					defer func() { _ = recover() }()
+					_ = warm.Fit(X, y)
+					t.Fatal("fit with a negative length scale did not panic")
+				}()
+				warm.FitWorkers, scales[1] = 0, keep
+				if warm.chol != nil {
+					t.Fatal("a panicking fit left a model behind")
+				}
+				continue
+			}
+			if len(X) == 0 {
+				continue
+			}
+			if err := warm.Fit(X, y); err != nil {
+				t.Fatalf("warm fit n=%d: %v", len(X), err)
+			}
+			cold := &GP{Noise: warm.Noise, LengthScales: append([]float64(nil), scales...)}
+			if err := cold.Fit(X, y); err != nil {
+				t.Fatalf("cold fit n=%d: %v", len(X), err)
+			}
+			assertSameGP(t, fmt.Sprintf("warm n=%d", len(X)), warm, cold, cands)
+
+			n := len(X)
+			var b, x [4][]float64
+			for c := range b {
+				b[c], x[c] = make([]float64, n), make([]float64, n)
+				for i := range b[c] {
+					b[c][i] = rng.NormFloat64()
+				}
+			}
+			if err := la.SolveLower4Into(warm.chol, b, x); err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, n)
+			for c := range b {
+				if err := la.SolveLowerInto(warm.chol, b[c], want); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if x[c][i] != want[i] {
+						t.Fatalf("n=%d rhs %d row %d: 4-wide %v != single %v", n, c, i, x[c][i], want[i])
+					}
+				}
+			}
+		}
+	})
 }

@@ -244,8 +244,10 @@ type Server struct {
 	cCanceled  *obs.Counter
 	cRejected  *obs.Counter
 	cResumed   *obs.Counter
-	gRunning   *obs.Gauge
-	gPending   *obs.Gauge
+	// cResultLost counts result files that could not be written.
+	cResultLost *obs.Counter
+	gRunning    *obs.Gauge
+	gPending    *obs.Gauge
 }
 
 // NewServer builds a Server and, when Config.StateDir is set, reloads
@@ -300,6 +302,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.cCanceled = reg.Counter("svc.jobs_canceled")
 		s.cRejected = reg.Counter("svc.jobs_rejected")
 		s.cResumed = reg.Counter("svc.jobs_resumed")
+		s.cResultLost = reg.Counter(obs.LabeledName("svc.persist_failures", "kind", "result"))
 		s.gRunning = reg.Gauge("svc.jobs_running")
 		s.gPending = reg.Gauge("svc.jobs_pending")
 	} else {
@@ -309,6 +312,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.cCanceled = new(obs.Counter)
 		s.cRejected = new(obs.Counter)
 		s.cResumed = new(obs.Counter)
+		s.cResultLost = new(obs.Counter)
 		s.gRunning = new(obs.Gauge)
 		s.gPending = new(obs.Gauge)
 	}
@@ -505,12 +509,27 @@ func (s *Server) withLock(fn func()) {
 // finalize moves a finished run to its terminal state — or, when the
 // server is shutting down, back to pending so the durable journal
 // records an interrupted (resumable) job rather than a canceled one.
+//
+// A successful run's result is made durable before the job is
+// published or journaled done, and the checkpoint is removed only
+// after that. If the result cannot be written, the job fails in this
+// process but its journal record (still running) and its checkpoint
+// are left as they are, so a restart resumes it.
 func (s *Server) finalize(j *Job, res *core.Result, err error) {
+	var persistErr error
+	if err == nil {
+		if persistErr = s.persistResult(j, res); persistErr != nil {
+			s.cResultLost.Inc()
+		}
+	}
 	s.mu.Lock()
 	interrupted := s.closed && !j.userCanceled && err != nil && res == nil
 	switch {
 	case interrupted:
 		j.state = StatePending
+	case persistErr != nil:
+		j.state = StateFailed
+		j.errMsg = persistErr.Error()
 	case err == nil:
 		j.state = StateDone
 		j.result = res
@@ -547,11 +566,13 @@ func (s *Server) finalize(j *Job, res *core.Result, err error) {
 	switch j.state {
 	case StateDone:
 		s.cDone.Inc()
-		s.persistResult(j, res)
 	case StateFailed:
 		s.cFailed.Inc()
 	case StateCanceled:
 		s.cCanceled.Inc()
+	}
+	if persistErr != nil {
+		return
 	}
 	s.persistRecord(j)
 	if j.state.Terminal() {

@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -472,6 +474,79 @@ func TestRestartResume(t *testing.T) {
 	}
 	if fp := fingerprint(fetchResult(t, base3, j.ID)); fp != want {
 		t.Error("result served from disk after restart differs from the original")
+	}
+}
+
+// TestResultWriteFailureKeepsJobResumable: a job whose result file
+// cannot be written must not be reported or journaled done. It fails
+// in this process, counts a persist failure, and keeps its journal
+// record and checkpoint, so a restart resumes it to the same result.
+func TestResultWriteFailureKeepsJobResumable(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	mk := func() *service.Server {
+		cfg := toyConfig(0)
+		cfg.MaxRunning = 1
+		cfg.StateDir = dir
+		cfg.CheckpointEvery = 5
+		cfg.Registry = reg
+		svc, err := service.NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	// A non-empty directory where the first job's result file goes makes
+	// the result's rename fail.
+	resultPath := filepath.Join(dir, "j-000001.result.json")
+	if err := os.MkdirAll(filepath.Join(resultPath, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	svc := mk()
+	base := startHTTP(t, svc)
+	req := service.JobRequest{Tenant: "t", Algorithm: "RAND", MaxEvals: 40, Seed: 7, Workers: 2, Spec: json.RawMessage(`{"toy":3}`)}
+	st, resp := submitHTTP(t, base, req)
+	if resp.StatusCode != http.StatusAccepted || st.ID != "j-000001" {
+		t.Fatalf("submit: status %d, id %q", resp.StatusCode, st.ID)
+	}
+	st = waitState(t, base, st.ID, service.StateFailed)
+	if !strings.Contains(st.Error, "persisting result") {
+		t.Errorf("job error %q does not name the failed result write", st.Error)
+	}
+	if got := reg.Counter(obs.LabeledName("svc.persist_failures", "kind", "result")).Value(); got != 1 {
+		t.Errorf("svc.persist_failures{kind=result} = %d, want 1", got)
+	}
+	if r, err := http.Get(base + "/v1/jobs/" + st.ID + "/result"); err != nil {
+		t.Fatal(err)
+	} else {
+		r.Body.Close()
+		if r.StatusCode == http.StatusOK {
+			t.Error("result served for a job whose result was never written")
+		}
+	}
+	svc.Close()
+	rec, err := os.ReadFile(filepath.Join(dir, st.ID+".job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(rec), `"state":"running"`) {
+		t.Errorf("journal record after the failed result write: %s, want state running", rec)
+	}
+	if _, err := os.Stat(filepath.Join(dir, st.ID+".ckpt.json")); err != nil {
+		t.Errorf("checkpoint removed after the failed result write: %v", err)
+	}
+
+	// Once the result path is writable, a restart resumes the job from
+	// its checkpoint and finishes it as an uninterrupted run would.
+	if err := os.RemoveAll(resultPath); err != nil {
+		t.Fatal(err)
+	}
+	svc2 := mk()
+	defer svc2.Close()
+	base2 := startHTTP(t, svc2)
+	waitState(t, base2, st.ID, service.StateDone)
+	if got, want := fingerprint(fetchResult(t, base2, st.ID)), fingerprint(serialResult(t, req, toySim{})); got != want {
+		t.Errorf("resumed result diverges from a serial run:\n got %.120s…\nwant %.120s…", got, want)
 	}
 }
 

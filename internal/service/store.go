@@ -109,13 +109,17 @@ func (s *Server) persistRecord(j *Job) {
 // persistResult stores a finished job's result in exactly the format
 // cmd/simcal -out writes, history included — which is what lets the CI
 // smoke test diff a service job's result bitwise against a serial run.
-func (s *Server) persistResult(j *Job, res *core.Result) {
+func (s *Server) persistResult(j *Job, res *core.Result) error {
 	if s.cfg.StateDir == "" || res == nil {
-		return
+		return nil
 	}
-	_ = atomicWrite(s.resultPath(j.ID), func(w io.Writer) error {
+	err := atomicWrite(s.resultPath(j.ID), func(w io.Writer) error {
 		return res.WriteJSON(w, true)
 	})
+	if err != nil {
+		return fmt.Errorf("service: persisting result: %w", err)
+	}
+	return nil
 }
 
 func (s *Server) removeCheckpoint(id string) {
